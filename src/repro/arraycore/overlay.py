@@ -14,9 +14,9 @@ A vertex's adjacency is the concatenation of its (sorted) base row and its
 overlay appends; copy operations cost O(degree) appends instead of a dict
 rebuild or CSR re-freeze per step. When the growth is finished,
 :meth:`freeze` compacts everything back into flat CSR arrays (one vectorised
-sort) for the publication writer and the samplers, and :meth:`to_graph`
-materialises the dict :class:`repro.graphs.Graph` **compatibility view** for
-callers that still want the mutable API.
+sort) for the publication writer, the backbone pass and the samplers. No dict
+:class:`repro.graphs.Graph` is built on the way out: :meth:`from_graph` is
+the only conversion boundary.
 
 The overlay stores each undirected edge in both directions, mirroring CSR
 ``nnz = 2m``. Callers are trusted not to insert duplicate edges or
@@ -53,8 +53,7 @@ class OverlayGraph:
     def from_graph(cls, graph: Graph) -> "OverlayGraph":
         """Snapshot a dict graph whose vertices are exactly ``0..n-1``.
 
-        Raises :class:`ValueError` otherwise — callers dispatch on
-        :func:`supports` first.
+        Raises :class:`ValueError` otherwise.
         """
         csr = graph.csr()
         if csr.vertices != tuple(range(csr.n)):
@@ -63,15 +62,6 @@ class OverlayGraph:
                 "apply naive_anonymization / to_integer_labels first"
             )
         return cls(csr.indptr, csr.indices)
-
-    @staticmethod
-    def supports(graph: Graph) -> bool:
-        """Whether *graph* lives in the array core's vertex space (ints 0..n-1,
-        in insertion order — what :func:`repro.core.naive_anonymization`
-        produces)."""
-        if graph.n == 0:
-            return False
-        return graph.csr().vertices == tuple(range(graph.n))
 
     # ------------------------------------------------------------------
 
@@ -167,16 +157,3 @@ class OverlayGraph:
         indices.sort()
         indices -= keys
         return indptr, indices
-
-    def to_graph(self) -> Graph:
-        """The dict :class:`Graph` compatibility view (vertices 0..n-1 in order)."""
-        indptr, indices = self.freeze()
-        n = self._n
-        g = Graph()
-        adj = g._adj
-        ind_list = indices.tolist()
-        ptr_list = indptr.tolist()
-        for v in range(n):
-            adj[v] = set(ind_list[ptr_list[v]:ptr_list[v + 1]])
-        g._m = self._m
-        return g

@@ -7,12 +7,13 @@ off the frozen CSR, backbone as an alive-mask sweep, and the approximate
 sampler's quota + DFS over CSR rows. The dict ``Graph`` is materialised
 nowhere on this path.
 
-``engine="reference"`` replays the identical pipeline through the seed dict
-implementations in :mod:`repro.core.reference` (and the dict publication
-writer). Both engines consume the same RNG stream, so for any seed the two
-reports carry **byte-identical artifact digests** — that equality is the
-benchmark's parity gate and the point of the :class:`PipelineReport`
-digests.
+``engine="reference"`` replays the identical pipeline through the dict
+copier behind :func:`repro.core.anonymize` (an independent implementation of
+orbit copying), the dict publication writer, and the seed oracles in
+:mod:`repro.core.reference` for backbone and sampling. Both engines consume
+the same RNG stream, so for any seed the two reports carry **byte-identical
+artifact digests** — that equality is the benchmark's parity gate and the
+point of the :class:`PipelineReport` digests.
 
 Stage timings come from :class:`repro.runtime.Stopwatch`; each stage also
 records :func:`repro.runtime.peak_rss_bytes`, which is the process-wide
@@ -163,9 +164,7 @@ def _run_array(graph, partition, requirements, k, copy_unit, original_n, report)
     from repro.arraycore.state import ArrayPartitionedGraph
 
     watch = Stopwatch()
-    state = ArrayPartitionedGraph(
-        OverlayGraph.from_graph(graph), partition.cells, track_records=False
-    )
+    state = ArrayPartitionedGraph(OverlayGraph.from_graph(graph), partition.cells)
     for cell_index in range(len(partition)):
         required = requirements.get(cell_index, 1)
         if state.cell_size(cell_index) >= required:
@@ -250,11 +249,12 @@ def _sample_array(published_arrays, cells, original_n, seed, report):
 
 
 def _run_reference(graph, partition, requirements, k, copy_unit, original_n, report):
+    from repro.core.anonymize import anonymize_cells
     from repro.core.publication import PublicationBuffers, save_publication_triple
-    from repro.core.reference import reference_anonymize_cells, reference_backbone
+    from repro.core.reference import reference_backbone
 
     watch = Stopwatch()
-    state = reference_anonymize_cells(graph, partition, requirements, copy_unit)
+    state = anonymize_cells(graph, partition, requirements, copy_unit)
     published_graph = state.graph
     published_partition = state.to_partition()
     _record(report, "anonymize", watch)

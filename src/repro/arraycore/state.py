@@ -7,18 +7,20 @@ sub-automorphism partition under copy operations, but over an
 cell membership is a flat ``cell_of`` list, fresh vertices are batch
 appends, and each copy operation walks CSR rows instead of dict sets.
 
+It serves only the scale path, :func:`repro.arraycore.run_pipeline`, which
+never builds a dict graph. The public :func:`repro.core.anonymize` runs the
+dict twin: it must return a dict ``Graph``, and building one from the
+overlay cost more than growing it directly (``docs/scale.md``).
+
 Byte-parity contract (pinned by ``repro.audit``'s ``differential:arraycore``
 check): for any contiguous-int-vertex input, the grown graph, the final
-partition, the provenance ``records``/``copy_of`` and the fresh-id minting
-sequence are identical to the dict twin's. Fresh ids are minted sequentially
-from ``max(vertex)+1`` in member order; outside anchors attach to copies in
-the same (u, v') pairs; member-internal edges are mirrored once.
-
-``track_records=False`` skips materialising per-operation
-:class:`CopyRecord` mapping dicts (1e6 dicts is real memory at the scales
-``benchmarks/bench_scale.py`` runs); provenance then lives only in the
-compact ``parent_of`` array. The public :func:`repro.core.anonymize`
-entry point always tracks records; the scale pipeline does not.
+partition and the fresh-id minting sequence are identical to the dict
+twin's, and ``parent_of`` equals its ``copy_of``. Fresh ids are minted
+sequentially from ``max(vertex)+1`` in member order; outside anchors attach
+to copies in the same (u, v') pairs; member-internal edges are mirrored
+once. Provenance lives only in the compact ``parent_of`` array (1e6
+per-operation mapping dicts is real memory at the scales
+``benchmarks/bench_scale.py`` runs).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.arraycore.overlay import OverlayGraph
-from repro.core.orbit_copy import CopyRecord
 from repro.graphs.partition import Partition
 from repro.utils.validation import AnonymizationError
 
@@ -36,12 +37,7 @@ __all__ = ["ArrayPartitionedGraph"]
 class ArrayPartitionedGraph:
     """A growing overlay graph plus its tracked partition, under copy ops."""
 
-    def __init__(
-        self,
-        overlay: OverlayGraph,
-        cells: Sequence[Sequence[int]],
-        track_records: bool = True,
-    ) -> None:
+    def __init__(self, overlay: OverlayGraph, cells: Sequence[Sequence[int]]) -> None:
         self.overlay = overlay
         self.cells: list[list[int]] = [sorted(cell) for cell in cells]
         n = overlay.n
@@ -56,7 +52,6 @@ class ArrayPartitionedGraph:
         # Direct parent of every vertex: -1 for originals, the copied vertex
         # for fresh ids (the compact form of the dict twin's ``copy_of``).
         self.parent_of: list[int] = [-1] * n
-        self.records: list[CopyRecord] | None = [] if track_records else None
         self._fresh = n
 
     # ------------------------------------------------------------------
@@ -66,11 +61,6 @@ class ArrayPartitionedGraph:
 
     def to_partition(self) -> Partition:
         return Partition([list(cell) for cell in self.cells])
-
-    def copy_of_dict(self) -> dict[int, int]:
-        """``fresh -> parent`` for every minted vertex (dict-twin ``copy_of``)."""
-        parent = self.parent_of
-        return {v: parent[v] for v in range(self.overlay.base_n, len(parent))}
 
     # ------------------------------------------------------------------
 
@@ -94,7 +84,6 @@ class ArrayPartitionedGraph:
         member_pos = {v: i for i, v in enumerate(members)}
         add_edge = overlay.add_edge
         neighbors_list = overlay.neighbors_list
-        edges_added = 0
         for _ in range(count):
             overlay.add_vertex()
         for i, v in enumerate(members):
@@ -102,7 +91,6 @@ class ArrayPartitionedGraph:
             for u in neighbors_list(v):
                 if cell_of[u] != cell_index:
                     add_edge(u, nv)
-                    edges_added += 1
                 else:
                     j = member_pos.get(u)
                     if j is None:
@@ -114,7 +102,6 @@ class ArrayPartitionedGraph:
                         # Mirror each member-internal edge exactly once (the
                         # dict twin deduplicates through its neighbour sets).
                         add_edge(fresh0 + j, nv)
-                        edges_added += 1
 
         cell = self.cells[cell_index]
         parent_of = self.parent_of
@@ -124,9 +111,6 @@ class ArrayPartitionedGraph:
             cell_of.append(cell_index)
             parent_of.append(v)
         self._fresh = fresh0 + count
-        if self.records is not None:
-            mapping = {v: fresh0 + i for i, v in enumerate(members)}
-            self.records.append(CopyRecord(cell_index, mapping, edges_added))
 
     def copy_cell(self, cell_index: int) -> None:
         """One whole-orbit copy operation (Algorithm 1's unit)."""

@@ -10,7 +10,8 @@ bit-identity contract between them:
 
 plus the array-first pipeline core (:mod:`repro.arraycore`), whose
 anonymize → publish → backbone → sample artifacts must be byte-identical to
-the dict oracles in :mod:`repro.core.reference`;
+those of the dict copier behind :func:`repro.core.anonymize` and the dict
+oracles in :mod:`repro.core.reference`;
 
 and the parallel runtime promises serial/parallel bit-identity for every
 fan-out. These checkers drive both sides on the same graph and report any
@@ -70,7 +71,7 @@ def check_refinement_parity(graph: Graph, initial: Partition | None = None) -> l
 def check_arraycore_parity(
     graph: Graph, k: int, copy_unit: str = "orbit", seed: int = 0
 ) -> list[str]:
-    """The array pipeline's artifacts must equal the dict oracles' byte for byte.
+    """The array pipeline's artifacts must equal the dict engines' byte for byte.
 
     Replays partition → anonymize → publish → backbone → sample through both
     ``engine="array"`` and ``engine="reference"`` of

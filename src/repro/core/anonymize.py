@@ -29,7 +29,6 @@ from repro.utils.validation import AnonymizationError, check_positive_int
 
 _COPY_UNITS = ("orbit", "component")
 _METHODS = ("exact", "stabilization")
-_ENGINES = ("auto", "array", "reference")
 
 
 @dataclass
@@ -104,13 +103,38 @@ def _grow_by_components(state: MutablePartitionedGraph, cell_index: int, require
         state.copy_members(cell_index, unit)
 
 
+def anonymize_cells(
+    graph: Graph,
+    base_partition: Partition,
+    requirements: dict[int, int],
+    copy_unit: str,
+) -> MutablePartitionedGraph:
+    """Algorithm 1's outer loop: grow every cell to its requirement.
+
+    Cell *i* of *base_partition* is grown by whole-orbit copies (or, with
+    ``copy_unit="component"``, by its Section 5.1 backbone slice) until it
+    has ``requirements[i]`` members. Returns the final growth state; the
+    anonymizer, :func:`repro.core.republish.republish_published` and the
+    reference replay of :func:`repro.arraycore.run_pipeline` package it.
+    """
+    state = MutablePartitionedGraph(graph, base_partition)
+    for cell_index in range(len(base_partition)):
+        required = requirements[cell_index]
+        if state.cell_size(cell_index) >= required:
+            continue
+        if copy_unit == "component":
+            _grow_by_components(state, cell_index, required)
+        else:
+            state.grow_cell_to(cell_index, required)
+    return state
+
+
 def anonymize(
     graph: Graph,
     k: int,
     partition: Partition | None = None,
     method: str = "exact",
     copy_unit: str = "orbit",
-    engine: str = "auto",
 ) -> AnonymizationResult:
     """Modify *graph* (insertions only) until every cell has >= k members.
 
@@ -128,13 +152,6 @@ def anonymize(
     copy_unit:
         ``"orbit"`` (Algorithm 1) or ``"component"`` (Section 5.1 minimal
         vertex insertion).
-    engine:
-        ``"auto"`` (default) runs the array-core copy engine whenever the
-        input has contiguous int vertices and falls back to the dict engine
-        otherwise; ``"array"`` forces the array engine (raising if the input
-        is unsupported); ``"reference"`` forces the dict engine. Both
-        engines produce byte-identical results — the choice only affects
-        speed and memory (see ``docs/scale.md``).
 
     Returns the full :class:`AnonymizationResult`; the publishable part is
     ``result.published()``. The original graph is a subgraph of the result
@@ -145,50 +162,7 @@ def anonymize(
         raise AnonymizationError(f"unknown copy_unit {copy_unit!r}; expected one of {_COPY_UNITS}")
     base_partition = _resolve_partition(graph, partition, method)
     requirements = {i: k for i in range(len(base_partition))}
-    return _anonymize_with_requirements(
-        graph, base_partition, requirements, k=k, copy_unit=copy_unit, engine=engine
-    )
-
-
-def _anonymize_with_arrays(
-    graph: Graph,
-    base_partition: Partition,
-    requirements: dict[int, int],
-    k: int,
-    copy_unit: str,
-) -> AnonymizationResult:
-    """Array-core driver: identical growth, overlay appends instead of dicts.
-
-    Byte-parity with the dict driver is pinned by the
-    ``differential:arraycore`` audit check and the tier-1 engine tests: same
-    fresh-id minting order, same records, same final edge set.
-    """
-    from repro.arraycore.overlay import OverlayGraph
-    from repro.arraycore.state import ArrayPartitionedGraph
-
-    state = ArrayPartitionedGraph(OverlayGraph.from_graph(graph), base_partition.cells)
-    for cell_index in range(len(base_partition)):
-        required = requirements.get(cell_index, 1)
-        if state.cell_size(cell_index) >= required:
-            continue
-        if copy_unit == "component":
-            unit = state.component_copy_unit(cell_index)
-            while state.cell_size(cell_index) < required:
-                state.copy_members(cell_index, unit)
-        else:
-            state.grow_cell_to(cell_index, required)
-    records = state.records if state.records is not None else []
-    return AnonymizationResult(
-        graph=state.overlay.to_graph(),
-        partition=state.to_partition(),
-        original_graph=graph.copy(),
-        original_partition=base_partition,
-        k=k,
-        requirements=dict(requirements),
-        copy_unit=copy_unit,
-        records=list(records),
-        copy_of=state.copy_of_dict(),
-    )
+    return _anonymize_with_requirements(graph, base_partition, requirements, k, copy_unit)
 
 
 def _anonymize_with_requirements(
@@ -197,29 +171,9 @@ def _anonymize_with_requirements(
     requirements: dict[int, int],
     k: int,
     copy_unit: str,
-    engine: str = "auto",
 ) -> AnonymizationResult:
     """Shared driver for plain k-symmetry and f-symmetry (per-cell targets)."""
-    if engine not in _ENGINES:
-        raise AnonymizationError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    from repro.arraycore.overlay import OverlayGraph
-
-    if engine != "reference" and OverlayGraph.supports(graph):
-        return _anonymize_with_arrays(graph, base_partition, requirements, k, copy_unit)
-    if engine == "array":
-        raise AnonymizationError(
-            "engine='array' requires contiguous int vertices 0..n-1; "
-            "relabel with to_integer_labels() or use engine='auto'"
-        )
-    state = MutablePartitionedGraph(graph, base_partition)
-    for cell_index in range(len(base_partition)):
-        required = requirements.get(cell_index, 1)
-        if state.cell_size(cell_index) >= required:
-            continue
-        if copy_unit == "component":
-            _grow_by_components(state, cell_index, required)
-        else:
-            state.grow_cell_to(cell_index, required)
+    state = anonymize_cells(graph, base_partition, requirements, copy_unit)
     return AnonymizationResult(
         graph=state.graph,
         partition=state.to_partition(),

@@ -19,6 +19,15 @@ The `≅_L` grouping encodes each outside-neighbour set as a vertex color and
 buckets components by their colored canonical certificate
 (:mod:`repro.isomorphism.canonical`), so a cell with t components costs t
 certificate computations rather than O(t^2) pairwise isomorphism tests.
+
+The sweep itself is :func:`repro.arraycore.backbone.backbone_arrays`, run on
+every input over CSR rows and an alive mask. It needs vertex ids ``0..n-1``;
+any other vertex set (a publication read back with
+:func:`repro.core.publication.load_publication` lists its vertices in edge
+order, for one) is renamed at the boundary to each vertex's rank in sorted
+order. The renaming preserves order, so the cells, their ordering by
+smallest member and ``removed`` map back unchanged. The seed dict sweep is
+kept as the oracle :func:`repro.core.reference.reference_backbone`.
 """
 
 from __future__ import annotations
@@ -26,9 +35,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.arraycore.backbone import backbone_arrays, component_classes_arrays
+from repro.graphs.csr import CSRView
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
-from repro.isomorphism.canonical import certificate
 from repro.utils.validation import PartitionError
 
 
@@ -63,21 +75,24 @@ def component_classes(graph: Graph, cell: Sequence[int]) -> list[list[list[int]]
     their smallest vertex, so "keep the first component of each class" is
     deterministic.
     """
-    cell_set = set(cell)
-    induced = graph.subgraph(cell_set)
-    components = [sorted(c) for c in induced.connected_components()]
-    components.sort(key=lambda comp: comp[0])
-    buckets: dict[object, list[list[int]]] = {}
-    order: list[object] = []
-    for comp in components:
-        comp_graph = induced.subgraph(comp)
-        coloring = {v: tuple(sorted(graph.neighbors(v) - cell_set)) for v in comp}
-        cert = certificate(comp_graph, coloring)
-        if cert not in buckets:
-            buckets[cert] = []
-            order.append(cert)
-        buckets[cert].append(comp)
-    return [buckets[cert] for cert in order]
+    return component_classes_arrays(graph.neighbors, lambda u: True, cell)
+
+
+def _ranked_csr(csr: CSRView, labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of *csr* with vertex ``labels[r]`` renamed to ``r``.
+
+    The rows are permuted into rank order and re-sorted with the
+    composite-key sort of :class:`repro.graphs.csr.CSRView`.
+    """
+    n = csr.n
+    row_of_rank = np.fromiter(map(csr.index.__getitem__, labels), dtype=np.int64, count=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[row_of_rank] = np.arange(n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(csr.degrees[row_of_rank], out=indptr[1:])
+    keys = rank[np.repeat(np.arange(n), csr.degrees)] * n + rank[csr.indices]
+    keys.sort()
+    return indptr, keys % n
 
 
 def backbone(graph: Graph, partition: Partition) -> BackboneResult:
@@ -91,41 +106,18 @@ def backbone(graph: Graph, partition: Partition) -> BackboneResult:
     if not partition.covers(graph.vertices()):
         raise PartitionError("partition must cover exactly the graph's vertices")
     cells = [sorted(cell) for cell in partition.cells]
-
     csr = graph.csr()
-    if csr.n > 0 and csr.vertices == tuple(range(csr.n)):
-        # Array fast path (contiguous int vertices — every published pair):
-        # the identical sweep over CSR rows and an alive mask, materialising
-        # one subgraph at the end instead of one per cell per pass. Pinned
-        # byte-identical to the dict loop below by the
-        # ``differential:arraycore`` audit check.
-        from repro.arraycore.backbone import backbone_arrays
-
-        alive, out_cells = backbone_arrays(csr.indptr, csr.indices, cells)
-        work = graph.subgraph([v for v in range(csr.n) if alive[v]])
-        removed = {v for v in range(csr.n) if not alive[v]}
-        return BackboneResult(
-            graph=work, cells=out_cells, removed=removed, input_partition=partition
+    if csr.vertices == tuple(range(csr.n)):
+        labels: Sequence = range(csr.n)
+        alive, cells = backbone_arrays(csr.indptr, csr.indices, cells)
+    else:
+        labels = sorted(csr.vertices)
+        rank = {v: r for r, v in enumerate(labels)}
+        alive, ranked = backbone_arrays(
+            *_ranked_csr(csr, labels), [[rank[v] for v in cell] for cell in cells]
         )
-
-    work = graph.copy()
-
-    changed = True
-    while changed:
-        changed = False
-        for index, cell in enumerate(cells):
-            if len(cell) < 2:
-                continue
-            classes = component_classes(work, cell)
-            if all(len(cls) == 1 for cls in classes):
-                continue
-            keep: list[int] = []
-            for cls in classes:
-                keep.extend(cls[0])
-                for extra in cls[1:]:
-                    work.remove_vertices(extra)
-                    changed = True
-            cells[index] = sorted(keep)
-
-    removed = set(graph.vertices()) - set(work.vertices())
+        cells = [[labels[r] for r in cell] for cell in ranked]
+    # ``subgraph`` keeps the input's vertex insertion order.
+    work = graph.subgraph([v for v, keep in zip(labels, alive) if keep])
+    removed = {v for v, keep in zip(labels, alive) if not keep}
     return BackboneResult(graph=work, cells=cells, removed=removed, input_partition=partition)

@@ -1,26 +1,29 @@
 """Dict-graph reference implementations of the anonymization pipeline.
 
-PR 8 inverted the architecture: the hot pipeline paths (orbit copying,
-backbone detection, the samplers) now run as flat-array passes over the CSR
-view plus an insertions-only overlay (:mod:`repro.arraycore`). The seed
-dict-of-sets implementations did not disappear — they moved here, verbatim,
-and serve as **parity oracles**: independent executable specifications that
-the array passes must match byte-for-byte.
+The production passes for backbone detection and the samplers run over flat
+arrays (:mod:`repro.arraycore`, :mod:`repro.core.sampling`). The seed
+dict-of-sets implementations of those passes live here, verbatim, as
+**parity oracles**: independent executable specifications that the array
+passes must match byte-for-byte. (Orbit copying has no oracle here: its
+production engine is the dict driver
+:func:`repro.core.anonymize.anonymize_cells`, and the array copier of the
+scale pipeline is checked against that.)
 
 They are consumed by
 
 * :mod:`repro.audit.differential` — ``check_arraycore_parity`` replays
-  anonymize → publish → backbone → sample through both engines on every
-  audit corpus case and fails on any divergence;
+  anonymize → publish → backbone → sample through both engines of
+  :func:`repro.arraycore.run_pipeline` on every audit corpus case and fails
+  on any divergence;
 * ``benchmarks/bench_scale.py`` — the ``--quick`` parity gate and the
   pre-PR baseline for the end-to-end speedup figures;
-* the public entry points themselves, as the fallback engine for graphs the
-  array core does not cover (non-contiguous or non-integer vertex labels).
+* the tier-1 tests that pin :func:`repro.core.backbone.backbone` and the
+  samplers to them.
 
-Like :mod:`repro.graphs.reference` (the CSR kernel oracles from PR 3), this
-module values obviousness over speed: the code is the seed implementation,
-kept deliberately unoptimised. Do not "improve" it — its entire value is
-being an independent derivation of the same results.
+Like :mod:`repro.graphs.reference` (the CSR kernel oracles), this module
+values obviousness over speed: the code is the seed implementation, kept
+deliberately unoptimised. Do not "improve" it — its entire value is being an
+independent derivation of the same results.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from repro.core.orbit_copy import MutablePartitionedGraph
 from repro.graphs.graph import Graph, _sorted_if_possible
 from repro.graphs.partition import Partition
 from repro.isomorphism.canonical import certificate
@@ -38,7 +40,6 @@ from repro.utils.validation import PartitionError, SamplingError, check_positive
 __all__ = [
     "reference_component_classes",
     "reference_backbone",
-    "reference_anonymize_cells",
     "reference_sample_approximate",
     "reference_sample_exact_growth",
     "reference_weighted_choice",
@@ -100,40 +101,6 @@ def reference_backbone(graph: Graph, partition: Partition):
 
     removed = set(graph.vertices()) - set(work.vertices())
     return BackboneResult(graph=work, cells=cells, removed=removed, input_partition=partition)
-
-
-def _reference_grow_by_components(
-    state: MutablePartitionedGraph, cell_index: int, required: int
-) -> None:
-    """Seed Section 5.1 growth: copy one representative per `≅_L`-class."""
-    members = state.original_members[cell_index]
-    classes = reference_component_classes(state.graph, members)
-    unit = sorted(v for cls in classes for v in cls[0])
-    while state.cell_size(cell_index) < required:
-        state.copy_members(cell_index, unit)
-
-
-def reference_anonymize_cells(
-    graph: Graph,
-    base_partition: Partition,
-    requirements: dict[int, int],
-    copy_unit: str,
-) -> MutablePartitionedGraph:
-    """Seed Algorithm 1 driver on the dict :class:`MutablePartitionedGraph`.
-
-    Returns the final growth state; the caller packages it into an
-    :class:`repro.core.anonymize.AnonymizationResult`.
-    """
-    state = MutablePartitionedGraph(graph, base_partition)
-    for cell_index in range(len(base_partition)):
-        required = requirements.get(cell_index, 1)
-        if state.cell_size(cell_index) >= required:
-            continue
-        if copy_unit == "component":
-            _reference_grow_by_components(state, cell_index, required)
-        else:
-            state.grow_cell_to(cell_index, required)
-    return state
 
 
 def reference_weighted_choice(

@@ -44,8 +44,8 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.core.anonymize import AnonymizationResult, _grow_by_components, anonymize
-from repro.core.orbit_copy import CopyRecord, MutablePartitionedGraph
+from repro.core.anonymize import AnonymizationResult, anonymize, anonymize_cells
+from repro.core.orbit_copy import CopyRecord
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.isomorphism.incremental import (
@@ -338,14 +338,8 @@ def republish_published(
         [list(cell) for cell in previous_partition.cells]
         + [list(cell) for cell in new_cells])
 
-    state = MutablePartitionedGraph(base, partition1)
-    for cell_index in range(len(partition1)):
-        if state.cell_size(cell_index) >= k:
-            continue
-        if copy_unit == "component":
-            _grow_by_components(state, cell_index, k)
-        else:
-            state.grow_cell_to(cell_index, k)
+    requirements = {i: k for i in range(len(partition1))}
+    state = anonymize_cells(base, partition1, requirements, copy_unit)
 
     return RepublicationResult(
         graph=state.graph,

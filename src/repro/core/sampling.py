@@ -157,8 +157,11 @@ def sample_exact(
     *backbone_result* lets callers that draw many samples amortise the
     backbone computation (it depends only on the published pair).
 
-    The returned graph has at least ``original_n`` vertices minus nothing
-    and at most ``original_n + max cell size - 1`` (the paper's overshoot).
+    The returned graph has at most ``original_n + s - 1`` vertices, where
+    ``s`` is the largest backbone cell (the paper's overshoot: the last copy
+    is drawn while the budget is still positive). It has fewer than
+    ``original_n`` vertices only when no cell can take another copy, i.e.
+    every cell's copies already fill its published cell.
     """
     check_positive_int(original_n, "original_n")
     rand = ensure_rng(rng)

@@ -2,8 +2,9 @@
 
 The modules under ``repro/arraycore/`` are the scale path: every hot pass is
 written against flat CSR arrays (``indptr``/``indices``), and the dict
-:class:`repro.graphs.graph.Graph` exists there only at the conversion
-boundary (``OverlayGraph.from_graph`` / ``to_graph``). A call like
+:class:`repro.graphs.graph.Graph` exists there only at the one conversion
+boundary, ``OverlayGraph.from_graph``, and in the small per-component
+graphs the `≅_L` grouping hands to the canonical certificate. A call like
 ``graph.neighbors(v)`` or ``for u, v in graph.sorted_edges()`` inside an
 array-core module is a per-element dict traversal sneaking back into a path
 benchmarked at a million vertices — the exact regression

@@ -493,8 +493,16 @@ def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
 
 
 def build_sample_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
-    """NDJSON payload of a sample response: one line per sample graph."""
-    mapping = ci.map_back(list(artifact["published_vertex_ids"]))
+    """NDJSON payload of a sample response: one line per sample graph.
+
+    Approximate samples draw only published vertices, but exact samples mint
+    copy ids above their backbone's maximum that need not be published ids,
+    so the id mapping covers both.
+    """
+    ids = set(artifact["published_vertex_ids"])
+    for sample in artifact["samples"]:
+        ids.update(sample["vertices"])
+    mapping = ci.map_back(sorted(ids))
     lines: list[dict] = [{
         "count": artifact["count"],
         "digest": ci.digest,

@@ -1,7 +1,7 @@
 """The array-first core: overlay, copy state, backbone, publication, pipeline.
 
 Every test here is a parity pin: the array passes must be byte-identical to
-the seed dict implementations (now the reference oracles), because the audit
+the dict copier and the seed dict oracles, because the audit
 campaign's ``differential:arraycore`` check and the scale benchmark's gate
 both assume that equality at every size they can afford to replay.
 """
@@ -18,8 +18,8 @@ from repro.arraycore import (
     run_pipeline,
 )
 from repro.core.anonymize import anonymize
-from repro.core.backbone import backbone
 from repro.core.publication import PublicationBuffers, save_publication_triple
+from repro.core.reference import reference_backbone
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.graphs.graph import Graph
 from repro.isomorphism.canonical import certificate
@@ -35,22 +35,21 @@ def _ws(n=120, k=4, seed=9):
     return watts_strogatz_graph(n, k, 0.1, random.Random(seed))
 
 
-class TestOverlayGraph:
-    def test_supports_contiguous_ints_only(self):
-        assert OverlayGraph.supports(_ba())
-        shifted = _ba().relabeled({v: v + 1 for v in _ba().vertices()})
-        assert not OverlayGraph.supports(shifted)
-        assert not OverlayGraph.supports(Graph())
+def _csr_lists(indptr, indices):
+    return indptr.tolist(), indices.tolist()
 
+
+class TestOverlayGraph:
     def test_from_graph_rejects_noncontiguous(self):
         shifted = _ba().relabeled({v: v + 1 for v in _ba().vertices()})
         with pytest.raises(ValueError):
             OverlayGraph.from_graph(shifted)
 
-    def test_to_graph_round_trips_the_base(self):
+    def test_freeze_round_trips_the_base(self):
         graph = _ws()
         overlay = OverlayGraph.from_graph(graph)
-        assert overlay.to_graph().equals(graph)
+        csr = graph.csr()
+        assert _csr_lists(*overlay.freeze()) == _csr_lists(csr.indptr, csr.indices)
 
     def test_freeze_after_insertions_matches_dict_twin(self):
         graph = _ba(n=60)
@@ -61,13 +60,10 @@ class TestOverlayGraph:
         for u in (0, 3, 17):
             overlay.add_edge(u, fresh)
             twin.add_edge(u, fresh)
-        view = overlay.to_graph()
-        assert view.equals(twin)
-        # Frozen rows are ascending — the CSR contract every pass assumes.
-        indptr, indices = overlay.freeze()
-        for v in range(overlay.n):
-            row = indices[indptr[v]:indptr[v + 1]].tolist()
-            assert row == sorted(row)
+        # Frozen rows are ascending — the CSR contract every pass assumes —
+        # so they equal the dict twin's CSR entry for entry.
+        csr = twin.csr()
+        assert _csr_lists(*overlay.freeze()) == _csr_lists(csr.indptr, csr.indices)
 
     def test_degree_counts_base_plus_overlay(self):
         graph = _ba(n=40)
@@ -80,40 +76,49 @@ class TestOverlayGraph:
 
 
 class TestEngineParity:
-    """anonymize(engine='array') must equal engine='reference' bit for bit."""
+    """The array copier of the scale pipeline must equal the dict copier.
+
+    ``anonymize`` runs the dict copier (:class:`MutablePartitionedGraph`);
+    ``run_pipeline`` runs :class:`ArrayPartitionedGraph`. Grown on the same
+    cells, the two must produce the same graph, partition and provenance.
+    """
 
     @pytest.mark.parametrize("copy_unit", ["orbit", "component"])
     @pytest.mark.parametrize("builder", [_ba, _ws])
     def test_results_identical_across_engines(self, builder, copy_unit):
         graph = builder()
-        fast = anonymize(graph, 3, method="stabilization",
-                         copy_unit=copy_unit, engine="array")
-        slow = anonymize(graph, 3, method="stabilization",
-                         copy_unit=copy_unit, engine="reference")
-        assert fast.graph.equals(slow.graph)
-        assert fast.graph.sorted_vertices() == slow.graph.sorted_vertices()
-        assert fast.partition.cells == slow.partition.cells
-        assert fast.copy_of == slow.copy_of
-        assert [(r.cell_index, r.mapping, r.edges_added) for r in fast.records] \
-            == [(r.cell_index, r.mapping, r.edges_added) for r in slow.records]
+        partition = automorphism_partition(graph, method="stabilization").orbits
+        result = anonymize(graph, 3, partition=partition, copy_unit=copy_unit)
 
-    def test_array_engine_requires_contiguous_vertices(self):
-        graph = Graph()
-        graph.add_edge("a", "b")
-        graph.add_edge("b", "c")
-        with pytest.raises(AnonymizationError, match="contiguous int"):
-            anonymize(graph, 2, engine="array")
+        state = ArrayPartitionedGraph(OverlayGraph.from_graph(graph), partition.cells)
+        for cell_index in range(len(partition)):
+            if copy_unit == "component":
+                unit = state.component_copy_unit(cell_index)
+                while state.cell_size(cell_index) < 3:
+                    state.copy_members(cell_index, unit)
+            else:
+                state.grow_cell_to(cell_index, 3)
+        assert result.vertices_added > 0
 
-    def test_auto_engine_falls_back_on_noncontiguous(self):
+        csr = result.graph.csr()
+        assert csr.vertices == tuple(range(csr.n))
+        assert _csr_lists(*state.overlay.freeze()) == _csr_lists(csr.indptr, csr.indices)
+        assert state.to_partition().cells == result.partition.cells
+        parent_of = state.parent_of
+        assert parent_of[:graph.n] == [-1] * graph.n
+        assert {v: parent_of[v] for v in range(graph.n, len(parent_of))} == result.copy_of
+
+    def test_anonymize_accepts_noncontiguous_vertices(self):
         graph = Graph()
         graph.add_edge(10, 20)
         graph.add_edge(20, 30)
-        result = anonymize(graph, 2, engine="auto")
+        result = anonymize(graph, 2)
         assert min(len(cell) for cell in result.partition.cells) >= 2
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(AnonymizationError, match="engine"):
-            anonymize(_ba(n=20), 2, engine="simd")
+        # The public API has one copier; there is no engine to choose.
+        with pytest.raises(TypeError, match="engine"):
+            anonymize(_ba(n=20), 2, engine="array")
 
 
 class TestArrayPartitionedGraph:
@@ -127,23 +132,21 @@ class TestArrayPartitionedGraph:
         with pytest.raises(AnonymizationError):
             state.copy_members(0, [])
 
-    def test_copy_of_dict_tracks_fresh_parents(self):
+    def test_parent_of_tracks_fresh_parents(self):
         graph = _ba(n=30)
         partition = automorphism_partition(graph, method="stabilization").orbits
         state = ArrayPartitionedGraph(OverlayGraph.from_graph(graph), partition.cells)
         state.grow_cell_to(0, len(partition.cells[0]) + 1)
-        copy_of = state.copy_of_dict()
-        assert copy_of  # at least one fresh vertex
-        for fresh, parent in copy_of.items():
-            assert fresh >= graph.n
-            assert parent < graph.n
+        fresh = state.parent_of[graph.n:]
+        assert fresh  # at least one fresh vertex
+        assert all(0 <= parent < graph.n for parent in fresh)
 
 
 class TestBackboneArrays:
     @pytest.mark.parametrize("builder", [_ba, _ws])
     def test_matches_dict_backbone_on_published_pair(self, builder):
         result = anonymize(builder(), 2, method="stabilization")
-        oracle = backbone(result.graph, result.partition)
+        oracle = reference_backbone(result.graph, result.partition)
         csr = result.graph.csr()
         alive, cells = backbone_arrays(csr.indptr, csr.indices, result.partition.cells)
         survivors = [v for v in range(csr.n) if alive[v]]

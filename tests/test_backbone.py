@@ -1,10 +1,15 @@
 """Graph backbone detection (Definition 4, Algorithm 2, Theorem 4)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.anonymize import anonymize
 from repro.core.backbone import backbone, component_classes
+from repro.core.publication import PublicationBuffers, load_publication, save_publication_triple
+from repro.core.reference import reference_backbone
+from repro.core.sampling import sample_exact
 from repro.datasets.paper_graphs import (
     figure3_graph,
     figure4_graph,
@@ -12,6 +17,7 @@ from repro.datasets.paper_graphs import (
     l_inequivalent_components_graph,
     modular_backbone_graph,
 )
+from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.isomorphism.colored import are_isomorphic
@@ -131,3 +137,64 @@ class TestTheorem4:
         result = backbone(g, orb)
         assert result.graph.is_subgraph_of(g)
         assert set(result.removed) | set(result.graph.vertices()) == set(g.vertices())
+
+
+class TestRelabelBoundary:
+    """``backbone`` renames any vertex set to sorted ranks for the array pass.
+
+    Each input below takes that path; the result must equal the dict oracle
+    in cells, ``removed`` and the edge set.
+    """
+
+    @staticmethod
+    def _published():
+        graph = barabasi_albert_graph(60, 1, random.Random(4))
+        return anonymize(graph, 3, method="stabilization")
+
+    @staticmethod
+    def _reloaded(result):
+        buffers = PublicationBuffers.in_memory()
+        save_publication_triple(result.graph, result.partition, result.original_n, buffers)
+        return load_publication(buffers)
+
+    @staticmethod
+    def _assert_matches_oracle(graph, partition):
+        assert graph.csr().vertices != tuple(range(graph.n))
+        result = backbone(graph, partition)
+        oracle = reference_backbone(graph, partition)
+        assert result.cells == oracle.cells
+        assert result.removed == oracle.removed
+        assert result.graph.sorted_edges() == oracle.graph.sorted_edges()
+        assert list(result.graph.vertices()) == list(oracle.graph.vertices())
+        return result
+
+    def test_publication_round_tripped_through_load_publication(self):
+        graph, partition, _ = self._reloaded(self._published())
+        assert self._assert_matches_oracle(graph, partition).n_removed > 0
+
+    def test_vertex_ids_with_gaps(self):
+        result = self._published()
+        gapped = {v: 3 * v + 5 for v in result.graph.vertices()}
+        partition = Partition([[gapped[v] for v in cell] for cell in result.partition.cells])
+        self._assert_matches_oracle(result.graph.relabeled(gapped), partition)
+
+    def test_shuffled_insertion_order(self):
+        result = self._published()
+        order = result.graph.sorted_vertices()
+        random.Random(2).shuffle(order)
+        shuffled = Graph.from_edges(result.graph.sorted_edges(), vertices=order)
+        self._assert_matches_oracle(shuffled, result.partition)
+
+    def test_isolated_vertices(self):
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3)], vertices=[9, 7, 8])
+        g.add_vertex(4)
+        result = self._assert_matches_oracle(g, orbits_of(g))
+        assert sorted(result.graph.vertices()) == [0, 1, 4]
+
+    def test_exact_sample_of_reloaded_publication(self):
+        graph, partition, original_n = self._reloaded(self._published())
+        sample = sample_exact(graph, partition, original_n, rng=7)
+        oracle = sample_exact(graph, partition, original_n, rng=7,
+                              backbone_result=reference_backbone(graph, partition))
+        assert list(sample.vertices()) == list(oracle.vertices())
+        assert sample.sorted_edges() == oracle.sorted_edges()

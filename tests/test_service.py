@@ -7,6 +7,7 @@ deterministic pause/resume gate; the SIGTERM drain test boots a real
 """
 
 import asyncio
+import io
 import json
 import os
 import random
@@ -21,6 +22,8 @@ import pytest
 import repro
 from repro.core.publication import PublicationBuffers, load_publication
 from repro.datasets.paper_graphs import figure3_graph
+from repro.graphs.generators import barabasi_albert_graph
+from repro.graphs.io import read_edge_list
 from repro.service import (
     KSymmetryDaemon,
     ServiceClient,
@@ -28,6 +31,8 @@ from repro.service import (
     ServiceError,
     publication_from_lines,
 )
+from repro.service.canon import canonicalize
+from repro.service.handlers import _compute_sample, build_sample_lines
 
 
 def edges_text(graph) -> str:
@@ -39,6 +44,11 @@ FIG3 = edges_text(figure3_graph())
 FIG3_RELABELED = edges_text(
     figure3_graph().relabeled({v: 3 * v + 100 for v in figure3_graph().vertices()}))
 PATH4 = "0 1\n1 2\n2 3\n"
+
+
+def tree_text(seed: int) -> str:
+    """A 24-vertex preferential-attachment tree."""
+    return edges_text(barabasi_albert_graph(24, 1, rng=random.Random(seed)))
 
 
 class DaemonHarness:
@@ -134,6 +144,13 @@ class TestRoundTrips:
         assert all(s["text"].strip() for s in samples)
         assert lines[-1] == {"event": "end", "lines": len(lines)}
 
+    def test_exact_sample_roundtrip(self, daemon):
+        with daemon.client() as client:
+            lines = client.sample(tree_text(5), k=2, count=1, strategy="exact", seed=5)
+        samples = [line for line in lines if line["event"] == "sample"]
+        assert len(samples) == 1 and samples[0]["text"].strip()
+        assert lines[-1] == {"event": "end", "lines": len(lines)}
+
     def test_audit_roundtrip(self, daemon):
         with daemon.client() as client:
             outcome = client.attack_audit(FIG3, target=1, measure="degree")
@@ -224,6 +241,26 @@ class TestRoundTrips:
         assert status == 200
         assert headers["x-job-id"].startswith("job-")
         assert b"job-" not in body
+
+
+class TestExactSampleRendering:
+    """Exact samples mint copy ids above their backbone, not published ids."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 7, 11])
+    def test_minted_ids_render(self, seed):
+        graph = barabasi_albert_graph(24, 1, rng=random.Random(seed))
+        ci = canonicalize(graph)
+        artifact = _compute_sample({
+            "edges": [list(e) for e in ci.edges], "n": ci.n, "k": 2,
+            "method": "exact", "copy_unit": "orbit", "count": 1,
+            "strategy": "exact", "seed": 5,
+        })["sample"]
+        drawn = artifact["samples"][0]
+        assert set(drawn["vertices"]) - set(artifact["published_vertex_ids"])
+        lines = build_sample_lines(ci, artifact)
+        [rendered] = [line for line in lines if line["event"] == "sample"]
+        sample = read_edge_list(io.StringIO(rendered["text"]))
+        assert sample.m == len(drawn["edges"])
 
 
 class TestValidation:
