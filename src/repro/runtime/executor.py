@@ -210,8 +210,8 @@ class ParallelMap:
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)),
                                    mp_context=_pool_context())
         orderly = False
+        pending: dict[Future, tuple[int, list, int]] = {}
         try:
-            pending: dict[Future, tuple[int, list, int]] = {}
             for start, chunk in chunks:
                 pending[pool.submit(_apply_chunk, fn, chunk)] = (start, chunk, 0)
             while pending:
@@ -239,7 +239,15 @@ class ParallelMap:
                     pending[pool.submit(_apply_chunk, fn, chunk)] = (start, chunk, attempt + 1)
             orderly = True
         finally:
-            pool.shutdown(wait=orderly, cancel_futures=not orderly)
+            # Queued chunks are cancelled one by one, not through
+            # shutdown(cancel_futures=True): on CPython 3.11 that swaps the
+            # pool's pending-work table for a copy, so a chunk whose pickling
+            # fails afterwards is dropped from the stale table only, and the
+            # pool's manager thread, joined at interpreter exit, waits for it
+            # forever.
+            for future in pending:
+                future.cancel()
+            pool.shutdown(wait=orderly)
         return results
 
 

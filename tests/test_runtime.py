@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import repro
 from repro.runtime import (
     JOBS_ENV_VAR,
     ParallelMap,
@@ -138,6 +139,28 @@ class TestParallelExecution:
         results, stats = parallel_map_with_stats(lambda t: t[1] * 2, tasks, jobs=2)
         assert results == [0, 2, 4, 6, 8, 10]
         assert stats.fallback == "unpicklable"
+
+    def test_abandoned_pools_do_not_block_interpreter_exit(self):
+        """An unpicklable fallback must leave no pool for exit to wait on."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.runtime import parallel_map_with_stats\n"
+            "if __name__ == '__main__':\n"
+            "    offset = 1\n"
+            "    for _ in range(8):\n"
+            "        _, stats = parallel_map_with_stats(\n"
+            "            lambda x: x + offset, range(12), jobs=2)\n"
+            "        assert stats.fallback == 'unpicklable', stats.fallback\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [os.path.dirname(os.path.dirname(repro.__file__)),
+                        env.get("PYTHONPATH", "")] if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFaultInjection:
